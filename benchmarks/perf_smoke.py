@@ -9,7 +9,9 @@ Runs the PDP-11 ED trace through both engines on the paper's headline
 geometry, verifies the stats are identical (the equivalence contract,
 end to end), prints accesses/second for each, writes
 ``BENCH_engines.json`` next to this file, and exits non-zero if the
-vectorized engine is not at least ``--min-speedup`` times faster.
+vectorized engine is not at least ``--min-speedup`` times faster.  The
+artifact records how it was made: trace length, git sha, Python and
+NumPy versions, core count and the command line.
 
 The default threshold is intentionally far below the typical speedup
 (5-10x on this workload) so the gate catches "vectorized silently fell
@@ -20,14 +22,31 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy
 
 from repro.core.config import CacheGeometry
 from repro.engine import TraceView, make_engine
 from repro.trace.filters import reads_only
 from repro.workloads.suites import suite_trace
+
+
+def _git(*args):
+    """Output of one git command in this checkout; None outside git."""
+    try:
+        result = subprocess.run(
+            ["git", *args], cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return result.stdout.strip() if result.returncode == 0 else None
 
 
 def _time_engine(name: str, geometry: CacheGeometry, view: TraceView, repeats: int):
@@ -44,7 +63,7 @@ def _time_engine(name: str, geometry: CacheGeometry, view: TraceView, repeats: i
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--length", type=int, default=50_000)
+    parser.add_argument("--length", type=int, default=30_000)
     parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
@@ -80,7 +99,19 @@ def main(argv=None) -> int:
         json.dumps(
             {
                 "trace": "pdp11/ED (reads only)",
+                "length": args.length,
                 "geometry": "1024:16,8@4",
+                "repeats": args.repeats,
+                "timing": "best of repeats, after one warm-up run",
+                "provenance": {
+                    "git_sha": _git("rev-parse", "HEAD") or None,
+                    # Uncommitted changes to tracked files at measurement.
+                    "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+                    "python": platform.python_version(),
+                    "numpy": numpy.__version__,
+                    "nproc": os.cpu_count(),
+                    "argv": [sys.argv[0], *(sys.argv[1:] if argv is None else argv)],
+                },
                 "engines": results,
                 "speedup_vectorized_vs_reference": speedup,
             },

@@ -10,7 +10,10 @@ Public surface:
 * :class:`~repro.engine.reference.ReferenceEngine` — the object-model
   loop (semantics baseline; handles guarded / fault-injected traces).
 * :class:`~repro.engine.vectorized.VectorizedEngine` — the NumPy batch
-  engine, pinned to the reference by the equivalence suite.
+  engine, pinned to the reference by the equivalence suite.  LRU cells
+  run on its array kernel (:mod:`repro.engine.lru_kernel`);
+  :func:`~repro.engine.lru_kernel.kernel_fallback_reason` names why any
+  other cell keeps the per-access loop.
 * :class:`~repro.engine.checked.CheckedEngine` — reference semantics
   plus per-access sanitizer assertions (cache-model invariants and
   statistics conservation laws); the ``--sanitize`` engine.
@@ -27,6 +30,7 @@ contract.
 from repro.engine.base import ENGINE_NAMES, Engine, make_engine, resolve_engine
 from repro.engine.batch import CellSpec, predecode, prepare_trace, run_batch, run_cell
 from repro.engine.checked import CheckedCache, CheckedEngine, check_cache_invariants
+from repro.engine.lru_kernel import KERNEL_FALLBACK_REASONS, kernel_fallback_reason
 from repro.engine.reference import ReferenceEngine
 from repro.engine.traceview import TraceView
 from repro.engine.vectorized import VectorizedEngine
@@ -38,6 +42,8 @@ __all__ = [
     "resolve_engine",
     "ReferenceEngine",
     "VectorizedEngine",
+    "KERNEL_FALLBACK_REASONS",
+    "kernel_fallback_reason",
     "CheckedEngine",
     "CheckedCache",
     "check_cache_invariants",

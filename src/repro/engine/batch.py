@@ -26,6 +26,7 @@ from repro.core.misspath import MissPathConfig
 from repro.core.replacement import make_replacement
 from repro.core.stats import CacheStats
 from repro.engine.base import resolve_engine
+from repro.engine.lru_kernel import kernel_fallback_reason
 from repro.engine.traceview import TraceView
 from repro.trace.filters import reads_only
 from repro.trace.record import Trace
@@ -83,19 +84,26 @@ def predecode(prepared: Trace, specs: Iterable[CellSpec]) -> None:
     view = TraceView.of(prepared)
     seen = set()
     for spec in specs:
+        # Only the per-access loop reads set/tag columns and run starts.
+        loop = kernel_fallback_reason(
+            make_replacement(spec.replacement), make_fetch(spec.fetch)
+        ) is not None
         shape = (
             spec.geometry.block_size,
             spec.geometry.sub_block_size,
             spec.geometry.num_sets,
             spec.word_size,
+            loop,
         )
         if shape in seen:
             continue
         seen.add(shape)
         view.sizes_for(spec.word_size)
         view.block_addresses(spec.geometry.block_size)
-        view.set_and_tag(spec.geometry)
-        view.demand(spec.geometry, spec.word_size)
+        view.masks(spec.geometry, spec.word_size)
+        if loop:
+            view.set_and_tag(spec.geometry)
+            view.demand(spec.geometry, spec.word_size)
 
 
 def run_cell(

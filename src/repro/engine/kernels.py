@@ -28,6 +28,7 @@ from repro.core.fetch import FetchPolicy
 
 __all__ = [
     "effective_sizes",
+    "mask_dtype",
     "needed_masks",
     "run_starts",
     "FetchPlanCache",
@@ -40,6 +41,14 @@ def effective_sizes(sizes: np.ndarray, word_size: int) -> np.ndarray:
     if (esz <= 0).any():
         esz = np.where(esz <= 0, np.int64(word_size), esz)
     return esz
+
+
+def mask_dtype(bits: int) -> type:
+    """Smallest unsigned dtype that holds a ``bits``-bit sub-block mask."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bits <= np.iinfo(dtype).bits:
+            return dtype
+    return np.uint64
 
 
 def needed_masks(

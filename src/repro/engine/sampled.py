@@ -326,14 +326,21 @@ def _cold_weights(
 
 
 def _scale(value: float, cluster_total: int, interval_length: int) -> Any:
-    """``value * cluster_total / interval_length``, exact when equal.
+    """``value * cluster_total / interval_length``, exact where it can be.
 
-    The equality short-circuit keeps the degenerate whole-trace plan
-    bit-identical to the reference engine (no float rounding).
+    An integer counter whose product divides evenly scales to the exact
+    integer: a float ratio would land an ulp off (``7 * (29 / 7)`` is
+    ``29.000000000000004``), and a zero-width interval around it would
+    then miss the integer truth.  The equality short-circuit keeps the
+    degenerate whole-trace plan bit-identical to the reference engine.
+    Anything else takes one correctly rounded division.
     """
     if cluster_total == interval_length:
         return value
-    return value * (cluster_total / interval_length)
+    product = value * cluster_total
+    if isinstance(value, int) and product % interval_length == 0:
+        return product // interval_length
+    return product / interval_length
 
 
 def run_sampled(

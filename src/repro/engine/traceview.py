@@ -11,8 +11,10 @@ net size of a figure sweep:
 
 * block addresses — keyed on ``block_size``;
 * set index / tag — keyed on ``(block_size, num_sets)``;
-* needed masks, span flags, and run boundaries — keyed on
-  ``(block_size, sub_block_size, word_size)``.
+* needed masks (in the narrowest unsigned dtype that holds a block's
+  sub-blocks), span flags, and run boundaries — keyed on
+  ``(block_size, sub_block_size, word_size)``.  Run boundaries serve
+  only the per-access loop, so they are computed apart, on first use.
 
 The view also memoizes the paper's read-only filtering
 (:func:`repro.trace.filters.reads_only`), so repeated sweeps over one
@@ -33,7 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.config import CacheGeometry
-from repro.engine.kernels import effective_sizes, needed_masks, run_starts
+from repro.engine.kernels import effective_sizes, mask_dtype, needed_masks, run_starts
 from repro.trace.filters import reads_only
 from repro.trace.record import Trace
 
@@ -75,7 +77,9 @@ class TraceView:
     one view and therefore one set of decode arrays.
     """
 
-    __slots__ = ("trace", "_reads_only", "_esz", "_blocks", "_settag", "_masks")
+    __slots__ = (
+        "trace", "_reads_only", "_esz", "_blocks", "_settag", "_masks", "_runs",
+    )
 
     _registry: "_LRU" = _LRU(_REGISTRY_LRU)
 
@@ -90,6 +94,7 @@ class TraceView:
         self._blocks = _LRU(_DECODE_LRU)
         self._settag = _LRU(_DECODE_LRU)
         self._masks = _LRU(_DECODE_LRU)
+        self._runs = _LRU(_DECODE_LRU)
 
     @classmethod
     def of(cls, trace: Trace) -> "TraceView":
@@ -146,10 +151,10 @@ class TraceView:
 
         return self._settag.lookup(key, compute)
 
-    def demand(
+    def masks(
         self, geometry: CacheGeometry, word_size: int
-    ) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Needed masks, span flags, and run boundaries for one shape.
+    ) -> "Tuple[np.ndarray, np.ndarray]":
+        """Needed-sub-block masks and span flags for one shape.
 
         Keyed on ``(block_size, sub_block_size, word_size)`` only, so
         the arrays are shared across net sizes and associativities.
@@ -157,12 +162,25 @@ class TraceView:
         key = (geometry.block_size, geometry.sub_block_size, word_size)
 
         def compute():
-            esz = self.sizes_for(word_size)
-            block0, needed, span = needed_masks(
-                self.trace.addrs, esz, geometry.block_size,
-                geometry.sub_block_size,
+            _, needed, span = needed_masks(
+                self.trace.addrs, self.sizes_for(word_size),
+                geometry.block_size, geometry.sub_block_size,
             )
-            starts = run_starts(block0, self.trace.kinds, needed, esz, span)
-            return needed, span, starts
+            return needed.astype(mask_dtype(geometry.sub_blocks_per_block)), span
 
         return self._masks.lookup(key, compute)
+
+    def demand(
+        self, geometry: CacheGeometry, word_size: int
+    ) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """:meth:`masks` plus the boundaries of runs of identical accesses."""
+        needed, span = self.masks(geometry, word_size)
+        key = (geometry.block_size, geometry.sub_block_size, word_size)
+
+        def compute():
+            return run_starts(
+                self.block_addresses(geometry.block_size), self.trace.kinds,
+                needed, self.sizes_for(word_size), span,
+            )
+
+        return needed, span, self._runs.lookup(key, compute)

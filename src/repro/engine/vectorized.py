@@ -1,28 +1,28 @@
 """The vectorized batch engine.
 
 Same semantics as the reference object-model loop, restructured for
-throughput.  Three ideas carry the speedup:
+throughput.  Every cell starts with a **whole-trace decode**: block
+address, set index, needed-sub-block mask and effective size are
+computed for every access in a few NumPy operations
+(:mod:`repro.engine.kernels`), cached on the trace's
+:class:`~repro.engine.traceview.TraceView`, and shared by every
+geometry that agrees on the relevant parameters.  Then one of two
+executors runs it:
 
-1. **Whole-trace decode.**  Set index, tag, needed-sub-block mask, and
-   effective size are computed for every access in a few NumPy
-   operations (:mod:`repro.engine.kernels`), cached on the trace's
-   :class:`~repro.engine.traceview.TraceView`, and shared by every
-   geometry that agrees on the relevant parameters.  The hot loop then
-   walks plain Python ints — no ``Access`` tuples, no ``AccessType``
-   enum construction, no per-access address arithmetic.
+1. **The LRU array kernel** (:mod:`repro.engine.lru_kernel`) for every
+   LRU cell with demand or load-forward fetch — the paper's whole
+   design space.  A Python loop visits each *block run* once to settle
+   residency, and NumPy derives every counter from the resulting
+   insertion-to-eviction epochs.
 
-2. **Run compression.**  Adjacent identical accesses (same block, kind,
-   mask, size — the common case in instruction streams) leave the cache
-   in a fixed point after the first: every repeat is a pure counter
-   update whose effect is known in advance.  Runs are delimited
-   vectorized (:func:`~repro.engine.kernels.run_starts`); the engine
-   simulates the first access of each run and bulk-accounts the rest.
-   Requires a replacement policy with idempotent hit handling
-   (``idempotent_hits``); otherwise every access runs scalar.
-
-3. **Flat state + compiled fetch policies.**  Per-set tag/valid/
-   referenced/dirty state lives in flat lists of ints, and fetch plans
-   are memoized per ``(missing, valid)`` mask pair
+2. **The per-access loop** for the cells the kernel cannot express,
+   each under a reason named by
+   :func:`~repro.engine.lru_kernel.kernel_fallback_reason` (another
+   replacement policy, a custom fetch policy).  It walks plain Python
+   ints over flat per-set tag/valid/referenced/dirty state, bulk-
+   accounts runs of identical accesses when the replacement policy has
+   idempotent hits (:func:`~repro.engine.kernels.run_starts`), and
+   replays fetch plans memoized per ``(missing, valid)`` mask pair
    (:class:`~repro.engine.kernels.FetchPlanCache`), with costs derived
    by the same :mod:`repro.core.accounting` rules the reference cache
    applies per miss.
@@ -49,6 +49,7 @@ from repro.core.stats import CacheStats
 from repro.core.write import WritePolicy
 from repro.engine.base import Engine
 from repro.engine.kernels import FetchPlanCache
+from repro.engine.lru_kernel import kernel_fallback_reason, run_lru_kernel
 from repro.engine.traceview import TraceView
 from repro.errors import ConfigurationError, DeadlineExceededError, EngineError
 from repro.trace.record import AccessType, Trace
@@ -127,6 +128,30 @@ class VectorizedEngine(Engine):
         )
 
     def _run(
+        self,
+        geometry: CacheGeometry,
+        view: TraceView,
+        replacement: ReplacementPolicy,
+        fetch: FetchPolicy,
+        write_policy: WritePolicy,
+        word_size: int,
+        fill_mode: bool,
+        reset_at: Optional[int],
+        flush_at_end: bool,
+        deadline: Optional[float] = None,
+    ) -> CacheStats:
+        """Run one validated cell on the LRU kernel or the per-access loop."""
+        if kernel_fallback_reason(replacement, fetch) is None:
+            return run_lru_kernel(
+                geometry, view, fetch, write_policy, word_size,
+                fill_mode, reset_at, flush_at_end, deadline,
+            )
+        return self._run_loop(
+            geometry, view, replacement, fetch, write_policy, word_size,
+            fill_mode, reset_at, flush_at_end, deadline,
+        )
+
+    def _run_loop(
         self,
         geometry: CacheGeometry,
         view: TraceView,

@@ -173,7 +173,9 @@ def _random_combo(rng):
         (LRUReplacement, FIFOReplacement, RandomReplacement)
     )
     kwargs = dict(
-        fetch=rng.choice((DemandFetch(), LoadForwardFetch())),
+        fetch=rng.choice(
+            (DemandFetch(), LoadForwardFetch(), LoadForwardFetch(optimized=True))
+        ),
         write_policy=rng.choice(list(WritePolicy)),
         word_size=word,
         warmup=rng.choice(("fill", 0, 1, n // 2, n, n + 3)),
@@ -261,3 +263,39 @@ def test_load_forward_redundant_bytes(z8000_grep_trace):
         geometry, z8000_grep_trace, fetch=LoadForwardFetch()
     )
     assert stats.bytes_fetched > 0
+
+
+def _paper_scale_trace():
+    """1M accesses: sequential instruction runs with jumps, plus data reads.
+
+    The seed is one where the 256-byte cache below fills in the middle of
+    a block run, which the test asserts.
+    """
+    rng = np.random.default_rng(1986)
+    n = 1_000_000
+    steps = rng.choice(np.array([2, 2, 2, 2, 2, 2, -30, 410]), n)
+    pc = np.cumsum(steps) % 8192
+    data = rng.random(n) < 0.3
+    addrs = np.where(data, 8192 + 2 * rng.integers(0, 2048, n), pc)
+    kinds = np.where(data, 0, 2).astype(np.uint8)
+    return Trace(addrs.astype(np.int64), kinds, 2, name="paper-scale")
+
+
+@pytest.mark.parametrize(
+    "warmup, fetch",
+    [("fill", DemandFetch()), ("mid-run", LoadForwardFetch(optimized=True))],
+)
+def test_warmup_boundary_inside_a_block_run_at_paper_scale(warmup, fetch):
+    # The LRU kernel works on block runs; the warm-up cut must still
+    # fall between two accesses of one run exactly where the per-access
+    # loop puts it.
+    trace = _paper_scale_trace()
+    geometry = CacheGeometry(256, 16, 2)
+    blocks = trace.addrs // geometry.block_size
+    if warmup == "mid-run":
+        n = len(trace)
+        warmup = n // 2 + int(np.flatnonzero(blocks[n // 2:] == blocks[n // 2 - 1:-1])[0])
+    stats = assert_identical(geometry, trace, fetch=fetch, warmup=warmup)
+    cut = len(trace) - stats.accesses
+    assert 0 < cut < len(trace)
+    assert blocks[cut - 1] == blocks[cut]
